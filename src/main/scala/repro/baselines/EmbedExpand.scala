@@ -29,7 +29,7 @@ object EmbedExpand {
     val edges: RDD[((Int, Int), Unit)] = adj.flatMap { case (u, ns) =>
       ns.iterator.filter(_ > u).map(v => ((u, v), ()))
     }
-    val count = wedges.join(edges.partitionBy(new org.apache.spark.HashPartitioner(p))).count()
+    val count = wedges.join(edges, p).count()
     AppResult(count, (System.nanoTime - t0) / 1e6)
   }
 

@@ -53,10 +53,11 @@ final class PhaseTimers extends Serializable {
 
 /** The recursive quasi-clique miner over one in-memory graph.
   *
-  * Implements Algorithm 2 (`iterativeBounding`), Algorithm 3
-  * (`recursiveMine`), Algorithm 8's decomposition loop
-  * (`decomposeOneLevel`) and Algorithm 10 (`timeDelayed`). The instance is
-  * single-threaded: membership/degree scratch arrays are reused via stamps.
+  * Implements Algorithm 2 (`iterativeBounding`) and one set-enumeration
+  * loop with three entry points: Algorithm 3 (`recursiveMine`), Algorithm
+  * 8's decomposition step (`decomposeOneLevel`) and Algorithm 10
+  * (`timeDelayed`). The instance is single-threaded: membership/degree
+  * scratch arrays are reused via stamps.
   *
   * Every candidate result is emitted through `sink` (vertex ids of `g`,
   * sorted); non-maximal ones are removed by `Maximality.filterMaximal`
@@ -337,13 +338,52 @@ final class Miner(
     }
   }
 
-  // ------------------------------------------------------- Algorithm 3
+  // ------------------------------------------- Algorithms 3, 8 and 10
+
+  // Child policy of `mine`, fixed for one call of an entry point below: a
+  // child ⟨S', ext(S')⟩ that survives bounding is recursed into until
+  // `tauTimeNanos` have elapsed since `taskStart`, then handed to `spawn`
+  // (Long.MaxValue never spawns: Algorithm 3). `splitAll` spawns every
+  // child and examines G(S') before bounding it (Algorithm 8, line 15).
+  private var spawn: (Array[Int], Array[Int]) => Unit = null
+  private var taskStart    = 0L
+  private var tauTimeNanos = Long.MaxValue
+  private var splitAll     = false
 
   /** Mines all valid quasi-cliques extended from S (including G(S) when no
     * strict extension is found). Returns true iff some valid quasi-clique
     * strictly extending S was emitted.
     */
   def recursiveMine(s0: ArrayBuffer[Int], ext0: ArrayBuffer[Int]): Boolean = {
+    spawn = null; tauTimeNanos = Long.MaxValue; splitAll = false
+    mine(s0, ext0)
+  }
+
+  /** One level of divide-and-conquer (Algorithm 8): instead of recursing,
+    * each surviving child ⟨S', ext(S')⟩ is handed to `spawn` (G(S') is
+    * examined eagerly since the parent cannot see the child's findings).
+    */
+  def decomposeOneLevel(s0: ArrayBuffer[Int], ext0: ArrayBuffer[Int],
+                        spawn: (Array[Int], Array[Int]) => Unit): Unit = {
+    this.spawn = spawn; splitAll = true
+    mine(s0, ext0)
+  }
+
+  /** Timeout-based divide and conquer (Algorithm 10): depth-first mining
+    * that, once `tauTimeNanos` have elapsed since `startNanos`, wraps every
+    * surviving branch as a subtask via `spawn` while backtracking (Figure 9).
+    */
+  def timeDelayed(s0: ArrayBuffer[Int], ext0: ArrayBuffer[Int],
+                  startNanos: Long, tauTimeNanos: Long,
+                  spawn: (Array[Int], Array[Int]) => Unit): Boolean = {
+    this.spawn = spawn; taskStart = startNanos; this.tauTimeNanos = tauTimeNanos; splitAll = false
+    mine(s0, ext0)
+  }
+
+  /** The set-enumeration loop shared by the entry points above; what happens
+    * to a surviving child is the only part the policy fields vary.
+    */
+  private def mine(s0: ArrayBuffer[Int], ext0: ArrayBuffer[Int]): Boolean = {
     var qFound = false
     val (ext, nHead) = orderExt(s0, ext0)
     var examined = 0
@@ -354,81 +394,15 @@ final class Miner(
       val v = ext.remove(0)
       val ext1 = diameterShrink(ext, v)
       val s1 = s0.clone() += v
+      if (splitAll) checkOutput(s1) // Alg 8 line 15: examine G(t'.S) right away
       if (ext1.isEmpty) {
         // boundary case missed by the original Quick (may lose results)
-        if (config.checkOnEmptyDiameterShrink && checkOutput(s1)) qFound = true
-      } else {
-        val pruned = iterativeBounding(s1, ext1)
-        if (!pruned && s1.length + ext1.length >= tauSize) {
-          val found = recursiveMine(s1, ext1)
-          if (found) qFound = true
-          else if (checkOutput(s1)) qFound = true
-        }
-      }
-      examined += 1
-    }
-    qFound
-  }
-
-  // ------------------------------------------- Algorithm 8 (A_split step)
-
-
-  /** One level of divide-and-conquer: instead of recursing, each surviving
-    * child ⟨S', ext(S')⟩ is handed to `spawn` (G(S') is examined eagerly
-    * since the parent cannot see the child's findings).
-    */
-  def decomposeOneLevel(s0: ArrayBuffer[Int], ext0: ArrayBuffer[Int],
-                        spawn: (Array[Int], Array[Int]) => Unit): Unit = {
-    val (ext, nHead) = orderExt(s0, ext0)
-    var examined = 0
-    while (examined < nHead) {
-      if (s0.length + ext.length < tauSize) return
-      if (lookahead(s0, ext)) return
-      val v = ext.remove(0)
-      val ext1 = diameterShrink(ext, v)
-      val s1 = s0.clone() += v
-      checkOutput(s1) // Alg 8 line 15: examine G(t'.S) right away
-      if (ext1.nonEmpty) {
-        val pruned = iterativeBounding(s1, ext1)
-        if (!pruned && s1.length + ext1.length >= tauSize)
+        if (!splitAll && config.checkOnEmptyDiameterShrink && checkOutput(s1)) qFound = true
+      } else if (!iterativeBounding(s1, ext1) && s1.length + ext1.length >= tauSize) {
+        if (splitAll || System.nanoTime - taskStart > tauTimeNanos) {
           spawn(s1.toArray, ext1.toArray)
-      }
-      examined += 1
-    }
-  }
-
-  // ------------------------------------------------------ Algorithm 10
-
-  /** Timeout-based divide and conquer: depth-first mining that, once
-    * `tauTimeNanos` have elapsed since `startNanos`, wraps every surviving
-    * branch as a subtask via `spawn` while backtracking (Figure 9).
-    */
-  def timeDelayed(s0: ArrayBuffer[Int], ext0: ArrayBuffer[Int],
-                  startNanos: Long, tauTimeNanos: Long,
-                  spawn: (Array[Int], Array[Int]) => Unit): Boolean = {
-    var qFound = false
-    val (ext, nHead) = orderExt(s0, ext0)
-    var examined = 0
-    while (examined < nHead) {
-      if (s0.length + ext.length < tauSize) return qFound
-      if (lookahead(s0, ext)) return true
-      val v = ext.remove(0)
-      val ext1 = diameterShrink(ext, v)
-      val s1 = s0.clone() += v
-      if (ext1.isEmpty) {
-        if (checkOutput(s1)) qFound = true
-      } else {
-        val pruned = iterativeBounding(s1, ext1)
-        if (!pruned && s1.length + ext1.length >= tauSize) {
-          if (System.nanoTime - startNanos > tauTimeNanos) {
-            spawn(s1.toArray, ext1.toArray)
-            checkOutput(s1) // cannot see the subtask's findings (Alg 10 L23)
-          } else {
-            val found = timeDelayed(s1, ext1, startNanos, tauTimeNanos, spawn)
-            if (found) qFound = true
-            else if (checkOutput(s1)) qFound = true
-          }
-        }
+          if (!splitAll) checkOutput(s1) // cannot see the subtask's findings (Alg 10 L23)
+        } else if (mine(s1, ext1) || checkOutput(s1)) qFound = true
       }
       examined += 1
     }

@@ -3,10 +3,38 @@ package repro.core
 import repro.graph.{GraphOps, LocalGraph}
 import scala.collection.mutable.ArrayBuffer
 
+/** A job's graph after the prologue, `ids` mapping it back to the input's
+  * ids; ego tasks are k-core pruned and spawned from `0 until spawnUpper`.
+  */
+final case class JobGraph(graph: LocalGraph, ids: Array[Int], k: Int, spawnUpper: Int)
+
 /** Task spawning shared by the serial miners and the G-thinker engine:
-  * Algorithms 4, 6 and 7 — the k-core-pruned 2-hop ego network of a vertex.
+  * the job prologue and Algorithms 4, 6 and 7 — the k-core-pruned 2-hop ego
+  * network of a vertex.
   */
 object TaskSpawn {
+
+  /** Rejects parameters the miner cannot handle, on the caller's thread. */
+  def checkParams(gamma: Double, tauSize: Int): Unit = {
+    require(gamma >= 0.5 && gamma <= 1.0, s"gamma must be in [0.5, 1], got $gamma")
+    require(tauSize >= 1, s"tauSize must be >= 1, got $tauSize")
+  }
+
+  /** The prologue of every job: check the parameters, k-core prune the
+    * graph (P2/T1), optionally recode ids for the degenerate cover rule
+    * (P7/T6). With recoding, tasks spawned from N(v_max) (the tail id block)
+    * can only find quasi-cliques inside N(v_max), which v_max itself
+    * extends — so no task is spawned from there.
+    */
+  def prologue(g: LocalGraph, gamma: Double, tauSize: Int, recode: Boolean = true): JobGraph = {
+    checkParams(gamma, tauSize)
+    val k = QuasiClique.ceilGamma(gamma, tauSize - 1)
+    val (gK, idsK) = GraphOps.kCoreSubgraph(g, k)
+    if (recode && gK.n > 0) {
+      val (gm, ids) = GraphOps.recodeByCover(gK)
+      JobGraph(gm, ids.map(idsK), k, gm.n - gm.degree(0))
+    } else JobGraph(gK, idsK, k, gK.n)
+  }
 
   /** The task subgraph spawned from `v`: induced by {v} ∪ {u ∈ B(v) : u > v,
     * d(u) >= k}, shrunk to its k-core. Returns None when v itself is pruned
@@ -46,10 +74,9 @@ final case class MineOutcome(
 /** Serial drivers for Quick+ (and, via config, the original Quick).
   *
   * `mineSerial` is the single-threaded reference used by Table 15 and by
-  * every correctness test: k-core prune the graph (P2/T1), optionally recode
-  * ids for the degenerate cover rule (P7/T6) — which lets us skip spawning
-  * from N(v_max) entirely — then mine each per-vertex ego task with
-  * Algorithm 3 and post-process away non-maximal outputs.
+  * every correctness test: run the job prologue (`TaskSpawn.prologue`), mine
+  * each per-vertex ego task with Algorithm 3 and post-process away
+  * non-maximal outputs.
   */
 object QuickPlus {
 
@@ -63,23 +90,13 @@ object QuickPlus {
       capMillis: Long = Long.MaxValue): MineOutcome = {
     val t0 = System.nanoTime
     val deadline = if (capMillis == Long.MaxValue) Long.MaxValue else t0 + capMillis * 1000000L
-    val k = QuasiClique.ceilGamma(gamma, tauSize - 1)
-    val (gK, idsK) = GraphOps.kCoreSubgraph(g, k)
-    val (gm, ids) =
-      if (recode && gK.n > 0) {
-        val (g2, ids2) = GraphOps.recodeByCover(gK)
-        (g2, ids2.map(idsK))
-      } else (gK, idsK)
-
-    // With recoding, tasks spawned from N(v_max) (the tail id block) can only
-    // find quasi-cliques inside N(v_max), which v_max itself extends — skip.
-    val spawnUpper = if (recode && gm.n > 0) gm.n - gm.degree(0) else gm.n
-
+    val job = TaskSpawn.prologue(g, gamma, tauSize, recode)
+    val ids = job.ids
     val out = ArrayBuffer.empty[Array[Int]]
     var timedOut = false
     var v = 0
-    while (v < spawnUpper && !timedOut) {
-      TaskSpawn.egoTask(gm, v, k) match {
+    while (v < job.spawnUpper && !timedOut) {
+      TaskSpawn.egoTask(job.graph, v, job.k) match {
         case Some((task, taskIds)) =>
           val miner = new Miner(task, gamma, tauSize,
             arr => out += QuasiClique.canon(arr.map(x => ids(taskIds(x)))),

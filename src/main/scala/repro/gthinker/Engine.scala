@@ -1,11 +1,13 @@
 package repro.gthinker
 
 import org.apache.spark.SparkContext
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
-import org.apache.spark.util.AccumulatorV2
+import org.apache.spark.util.{AccumulatorV2, LongAccumulator}
 import repro.core._
 import repro.graph.{GraphOps, LocalGraph}
 import scala.collection.mutable.ArrayBuffer
+import scala.reflect.ClassTag
 
 /** A mining task ⟨S, ext(S)⟩ in ids of the engine's (k-core-pruned, recoded)
   * global graph. The task's subgraph is the one induced by s ++ ext; it is
@@ -24,8 +26,8 @@ final case class TaskStat(root: Int, nV: Int, nE: Long, maxDeg: Int,
 sealed trait Mode extends Serializable
 /** Mine each spawned task's set-enumeration subtree fully in serial. */
 case object ABase extends Mode
-/** Decompose while ext(S) is larger than τ_split (Algorithm 8). */
-final case class ASplit(tauSplit: Int) extends Mode
+/** Decompose while ext(S) is larger than `EngineConfig.tauSplit` (Algorithm 8). */
+case object ASplit extends Mode
 /** Mine for τ_time, then wrap remaining branches as subtasks (Algs 9–10). */
 final case class ATime(tauTimeMillis: Double) extends Mode
 
@@ -33,15 +35,15 @@ final case class ATime(tauTimeMillis: Double) extends Mode
   * engine (per-thread local queues only: subtasks stay hashed to their
   * spawning worker, no big-task-first ordering); `true` is the paper's
   * redesign (global big-task queue + stealing ≈ sort big tasks first and
-  * round-robin them across workers each round).
+  * round-robin them across workers each round). `tauSplit` is the paper's
+  * single τ_split: a task with |ext| >= τ_split is big, and `ASplit`
+  * decomposes a task with |ext| > τ_split.
   */
 final case class EngineConfig(
     parallelism: Int,
     prioritizeBigTasks: Boolean = true,
     tauSplit: Int = 100,
-    recode: Boolean = true,
-    recordTaskStats: Boolean = false,
-    minerConfig: MinerConfig = MinerConfig.quickPlus)
+    recordTaskStats: Boolean = false)
 
 final case class EngineResult(
     maximal: Seq[Array[Int]],
@@ -85,43 +87,27 @@ private final case class EmitStat(s: TaskStat) extends Emit
   */
 object Engine {
 
-  /** Full job: k-core prune, recode, spawn per-vertex ego tasks, mine. */
+  /** Full job: the prologue (k-core prune, recode), a round that spawns the
+    * per-vertex ego tasks (Algorithms 4, 6, 7), then the mining rounds.
+    */
   def run(sc: SparkContext, g: LocalGraph, gamma: Double, tauSize: Int,
           mode: Mode, conf: EngineConfig): EngineResult = {
     val wall0 = System.nanoTime
-    val k = QuasiClique.ceilGamma(gamma, tauSize - 1)
-    val (gK, idsK) = GraphOps.kCoreSubgraph(g, k)
-    val (gm, ids) =
-      if (conf.recode && gK.n > 0) {
-        val (g2, ids2) = GraphOps.recodeByCover(gK)
-        (g2, ids2.map(idsK))
-      } else (gK, idsK)
-
-    if (gm.n == 0)
-      return EngineResult(Nil, 0, (System.nanoTime - wall0) / 1e6, 0.0, 0, 0, 0, 0, 0, 0, Nil, usedHeapMB())
-
-    val bc = sc.broadcast(gm)
-    val acc = Accs(sc)
-    val spawnUpper = if (conf.recode) gm.n - gm.degree(0) else gm.n
-    val p = math.max(1, conf.parallelism)
-    val matAcc = acc.mat
-
-    // ---- round 0: spawn per-vertex ego tasks (Algorithms 4, 6, 7) ----
-    val tasks0: Array[QCTask] = sc.parallelize(0 until spawnUpper, p).mapPartitions { it =>
-      val graph = bc.value
-      it.flatMap { v =>
-        val t0 = System.nanoTime
-        val built = TaskSpawn.egoTask(graph, v, k).map { case (core, coreIds) =>
-          QCTask(v, Array(v), coreIds.drop(1))
+    val job = TaskSpawn.prologue(g, gamma, tauSize)
+    val k = job.k
+    execute(sc, job.graph, job.ids, gamma, tauSize, mode, conf, wall0) { (bc, matAcc) =>
+      sc.parallelize(0 until job.spawnUpper, math.max(1, conf.parallelism)).mapPartitions { it =>
+        val graph = bc.value
+        it.flatMap { v =>
+          val t0 = System.nanoTime
+          val built = TaskSpawn.egoTask(graph, v, k).map { case (_, coreIds) =>
+            QCTask(v, Array(v), coreIds.drop(1))
+          }
+          matAcc.add(System.nanoTime - t0)
+          built
         }
-        matAcc.add(System.nanoTime - t0)
-        built
-      }
-    }.collect()
-
-    val res = mineLoop(sc, bc, acc, ids, tasks0, gamma, tauSize, mode, conf, wall0)
-    bc.destroy()
-    res
+      }.collect()
+    }
   }
 
   /** Kernel-expansion entry (Tables 9, 11): initial tasks are given directly
@@ -132,64 +118,44 @@ object Engine {
                    tasks0: Array[QCTask], gamma: Double, tauSize: Int,
                    mode: Mode, conf: EngineConfig): EngineResult = {
     val wall0 = System.nanoTime
-    if (gm.n == 0 || tasks0.isEmpty)
+    TaskSpawn.checkParams(gamma, tauSize)
+    execute(sc, gm, ids, gamma, tauSize, mode, conf, wall0)((_, _) => tasks0)
+  }
+
+  /** Broadcasts `gm`, builds the first round's tasks with `tasks0` and mines
+    * round by round until no task is left; an empty graph returns an empty
+    * result at once.
+    */
+  private def execute(sc: SparkContext, gm: LocalGraph, ids: Array[Int],
+                      gamma: Double, tauSize: Int, mode: Mode, conf: EngineConfig, wall0: Long)
+                     (tasks0: (Broadcast[LocalGraph], LongAccumulator) => Array[QCTask]): EngineResult = {
+    if (gm.n == 0)
       return EngineResult(Nil, 0, (System.nanoTime - wall0) / 1e6, 0.0, 0, 0, 0, 0, 0, 0, Nil, usedHeapMB())
-    val bc  = sc.broadcast(gm)
-    val acc = Accs(sc)
-    val res = mineLoop(sc, bc, acc, ids, tasks0, gamma, tauSize, mode, conf, wall0)
-    bc.destroy()
-    res
-  }
-
-  private final case class Accs(
-      mine: org.apache.spark.util.LongAccumulator,
-      mat: org.apache.spark.util.LongAccumulator,
-      proc: org.apache.spark.util.LongAccumulator,
-      spawned: org.apache.spark.util.LongAccumulator,
-      max: MaxAccumulator)
-
-  private object Accs {
-    def apply(sc: SparkContext): Accs = {
-      val m = new MaxAccumulator
-      sc.register(m, "maxTaskNs")
-      Accs(sc.longAccumulator("miningNs"), sc.longAccumulator("materializeNs"),
-        sc.longAccumulator("tasksProcessed"), sc.longAccumulator("subtasksSpawned"), m)
-    }
-  }
-
-  private def mineLoop(sc: SparkContext,
-                       bc: org.apache.spark.broadcast.Broadcast[LocalGraph],
-                       acc: Accs, ids: Array[Int], tasks0: Array[QCTask],
-                       gamma: Double, tauSize: Int, mode: Mode,
-                       conf: EngineConfig, wall0: Long): EngineResult = {
+    val bc = sc.broadcast(gm)
+    val mineAcc  = sc.longAccumulator("miningNs")
+    val matAcc   = sc.longAccumulator("materializeNs")
+    val procAcc  = sc.longAccumulator("tasksProcessed")
+    val spawnAcc = sc.longAccumulator("subtasksSpawned")
+    val maxAcc   = new MaxAccumulator
+    sc.register(maxAcc, "maxTaskNs")
     val p = math.max(1, conf.parallelism)
     val results = ArrayBuffer.empty[Array[Int]]
     val stats   = ArrayBuffer.empty[TaskStat]
     var rounds  = 0
     var peakHeap = usedHeapMB()
-    var tasks = tasks0
-    val mineAcc = acc.mine; val matAcc = acc.mat
-    val procAcc = acc.proc; val spawnAcc = acc.spawned; val maxAcc = acc.max
-    val gammaL = gamma; val tauSizeL = tauSize; val confL = conf; val modeL = mode
+    var tasks = tasks0(bc, matAcc)
 
     while (tasks.nonEmpty) {
       rounds += 1
-      val placed = place(sc, tasks, p, confL)
+      val placed = place(sc, tasks, p, conf.prioritizeBigTasks, conf.tauSplit)(_.extSize, _.root)
       val emitted = placed.mapPartitions { it =>
         val graph = bc.value
         val out = ArrayBuffer.empty[Emit]
         it.foreach { t =>
           val m0 = System.nanoTime
-          val verts = new Array[Int](t.s.length + t.ext.length)
-          System.arraycopy(t.s, 0, verts, 0, t.s.length)
-          System.arraycopy(t.ext, 0, verts, t.s.length, t.ext.length)
-          val (sub, oldIds) = GraphOps.induced(graph, verts)
+          val (sub, oldIds) = GraphOps.induced(graph, t.s ++ t.ext)
           matAcc.add(System.nanoTime - m0)
-          if (confL.recordTaskStats) {
-            val f = GraphOps.features(sub)
-            out += EmitStat(TaskStat(t.root, f.nV, f.nE, f.maxDeg, f.avgDeg, f.coreNum, 0L))
-          }
-          val statIdx = out.length - 1
+          val f = if (conf.recordTaskStats) GraphOps.features(sub) else null
           val t1 = System.nanoTime
           val sink = (arr: Array[Int]) => {
             out += EmitResult(QuasiClique.canon(arr.map(oldIds))); ()
@@ -198,23 +164,20 @@ object Engine {
             spawnAcc.add(1)
             out += EmitTask(QCTask(t.root, s.map(oldIds), e.map(oldIds))); ()
           }
-          val miner = new Miner(sub, gammaL, tauSizeL, sink, confL.minerConfig)
+          val miner = new Miner(sub, gamma, tauSize, sink)
           val sBuf = ArrayBuffer.from(0 until t.s.length)
-          val eBuf = ArrayBuffer.from(t.s.length until verts.length)
-          modeL match {
+          val eBuf = ArrayBuffer.from(t.s.length until sub.n)
+          mode match {
             case ABase => miner.recursiveMine(sBuf, eBuf)
-            case ASplit(ts) =>
-              if (eBuf.length <= ts) miner.recursiveMine(sBuf, eBuf)
+            case ASplit =>
+              if (eBuf.length <= conf.tauSplit) miner.recursiveMine(sBuf, eBuf)
               else miner.decomposeOneLevel(sBuf, eBuf, spawnChild)
             case ATime(ms) =>
               miner.timeDelayed(sBuf, eBuf, t1, (ms * 1e6).toLong, spawnChild)
           }
           val dt = System.nanoTime - t1
           mineAcc.add(dt); maxAcc.add(dt); procAcc.add(1)
-          if (confL.recordTaskStats) out(statIdx) match {
-            case EmitStat(s0) => out(statIdx) = EmitStat(s0.copy(mineNanos = dt))
-            case _            => ()
-          }
+          if (f ne null) out += EmitStat(TaskStat(t.root, f.nV, f.nE, f.maxDeg, f.avgDeg, f.coreNum, dt))
         }
         out.iterator
       }.collect()
@@ -234,6 +197,7 @@ object Engine {
     val mapped  = results.map(vs => QuasiClique.canon(vs.map(ids))).toSeq
     val maximal = Maximality.filterMaximal(mapped)
     val wall2 = System.nanoTime
+    bc.destroy()
 
     EngineResult(
       maximal, results.length.toLong, (wall1 - wall0) / 1e6, (wall2 - wall1) / 1e6,
@@ -242,27 +206,25 @@ object Engine {
       stats.toSeq, peakHeap)
   }
 
-  /** Place tasks on `p` workers for the next round. */
-  private def place(sc: SparkContext, tasks: Array[QCTask], p: Int, conf: EngineConfig): RDD[QCTask] = {
-    val buckets = Array.fill(p)(ArrayBuffer.empty[QCTask])
-    if (conf.prioritizeBigTasks) {
-      // redesigned engine: big tasks first, dealt round-robin (global queue
-      // + stealing); small tasks follow round-robin in arrival order.
-      val (big, small) = tasks.partition(_.extSize >= conf.tauSplit)
-      val ordered = big.sortBy(-_.extSize) ++ small
+  /** Deals `items` over `p` workers; bucket i becomes partition i. The
+    * redesigned engine deals items with `size >= bigAt` first, largest
+    * first (stable), then the rest in arrival order, round-robin (global
+    * queue + stealing). The original engine keeps each item with the worker
+    * that owns it, `owner % p`, in arrival order (local queues only).
+    */
+  private[repro] def place[T: ClassTag](sc: SparkContext, items: Array[T], p: Int,
+                                        prioritizeBig: Boolean, bigAt: Int)
+                                       (size: T => Int, owner: T => Int): RDD[T] = {
+    val buckets = Array.fill(p)(ArrayBuffer.empty[T])
+    if (prioritizeBig) {
+      val (big, small) = items.partition(size(_) >= bigAt)
+      val ordered = big.sortBy(x => -size(x)) ++ small
       var i = 0
       while (i < ordered.length) { buckets(i % p) += ordered(i); i += 1 }
-    } else {
-      // original engine: tasks stay with the worker that owns their spawning
-      // vertex, processed FIFO — no prioritization, no stealing.
-      var i = 0
-      while (i < tasks.length) { buckets(tasks(i).root % p) += tasks(i); i += 1 }
-    }
-    // key i lands exactly in partition i under HashPartitioner(p) for 0<=i<p
-    val keyed = buckets.zipWithIndex.flatMap { case (b, i) => b.map(t => (i, t)) }.toSeq
-    sc.parallelize(keyed, p)
-      .partitionBy(new org.apache.spark.HashPartitioner(p))
-      .values
+    } else items.foreach(x => buckets(owner(x) % p) += x)
+    // key i lands exactly in partition i under hash partitioning for 0<=i<p
+    val keyed = buckets.zipWithIndex.flatMap { case (b, i) => b.map(x => (i, x)) }.toSeq
+    sc.parallelize(keyed, p).partitionBy(new org.apache.spark.HashPartitioner(p)).values
   }
 
   private def usedHeapMB(): Long = {

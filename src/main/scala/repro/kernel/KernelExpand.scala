@@ -49,6 +49,18 @@ object KernelExpand {
     arr
   }
 
+  /** The k-core that expansion under (γ, τ_size) runs on, its vertices'
+    * ids in `g`, and each kernel in its ids — None when some kernel vertex
+    * is not in the core.
+    */
+  private def kernelsInCore(g: LocalGraph, kernels: Seq[Array[Int]], gamma: Double,
+                            tauSize: Int): (LocalGraph, Array[Int], Seq[Option[Array[Int]]]) = {
+    val (gK, idsK) = GraphOps.kCoreSubgraph(g, QuasiClique.ceilGamma(gamma, tauSize - 1))
+    val toCore = Array.fill(g.n)(-1)
+    idsK.indices.foreach(i => toCore(idsK(i)) = i)
+    (gK, idsK, kernels.map(_.map(toCore)).map(s => Option.when(!s.contains(-1))(s)))
+  }
+
   /** Serial [31] pipeline (Table 9). `gammaP` (γ') and `kPrime` (k') pick the
     * kernels; `gamma`/`k` shape the final answer; `tauSize` thresholds both
     * phases as in the paper's runs.
@@ -60,15 +72,11 @@ object KernelExpand {
     val kernels = QuickPlus.mineSerial(g, gammaP, tauSize).maximal
       .sortBy(-_.length).take(kPrime)
     // phase 2: expand each kernel under γ over the k-core-pruned graph
-    val kc = QuasiClique.ceilGamma(gamma, tauSize - 1)
-    val (gK, idsK) = GraphOps.kCoreSubgraph(g, kc)
-    val toNew = new java.util.HashMap[Integer, Integer](gK.n * 2)
-    idsK.zipWithIndex.foreach { case (o, nw) => toNew.put(o, nw) }
+    val (gK, idsK, inCore) = kernelsInCore(g, kernels, gamma, tauSize)
     val out = ArrayBuffer.empty[Array[Int]]
-    for (kernel <- kernels) {
+    for ((kernel, sCore) <- kernels.zip(inCore)) {
       // kernel vertices always survive the k-core (they sit in a γ'-QC)
-      val sNew = kernel.flatMap(v => Option(toNew.get(v)).map(_.intValue()))
-      if (sNew.length == kernel.length) {
+      sCore.foreach { sNew =>
         val ext = candidatePool(gK, sNew)
         val verts = sNew ++ ext
         val (sub, oldIds) = GraphOps.induced(gK, verts)
@@ -125,19 +133,14 @@ object KernelExpand {
                      gamma: Double, tauSize: Int, mode: Mode,
                      conf: EngineConfig, k: Int): KernelOutcome = {
     val t0 = System.nanoTime
-    val kc = QuasiClique.ceilGamma(gamma, tauSize - 1)
-    val (gK, idsK) = GraphOps.kCoreSubgraph(g, kc)
-    val toNew = new java.util.HashMap[Integer, Integer](gK.n * 2)
-    idsK.zipWithIndex.foreach { case (o, nw) => toNew.put(o, nw) }
-    val tasks = kernels.zipWithIndex.flatMap { case (kernel, i) =>
-      val sNew = kernel.flatMap(v => Option(toNew.get(v)).map(_.intValue()))
-      if (sNew.length == kernel.length) {
+    val (gK, idsK, inCore) = kernelsInCore(g, kernels, gamma, tauSize)
+    val tasks = inCore.zipWithIndex.flatMap { case (sCore, i) =>
+      sCore.flatMap { sNew =>
         val ext = candidatePool(gK, sNew)
         if (ext.nonEmpty || sNew.length >= tauSize) Some(QCTask(i, sNew, ext)) else None
-      } else None
+      }
     }.toArray
-    val res = Engine.runFromTasks(sc, gK, idsK, tasks, gamma, tauSize, mode,
-      conf.copy(recode = false))
+    val res = Engine.runFromTasks(sc, gK, idsK, tasks, gamma, tauSize, mode, conf)
     val all = res.maximal ++ kernels.map(QuasiClique.canon)
     val maximal = Maximality.filterMaximal(all)
     val topK = maximal.sortBy(-_.length).take(k)

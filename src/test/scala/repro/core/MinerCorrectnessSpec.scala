@@ -69,6 +69,13 @@ class MinerCorrectnessSpec extends SparkSpec {
     assert(missedSomewhere, "on this seed batch Quick is expected to miss at least one maximal result")
   }
 
+  test("mineSerial rejects bad parameters before mining, even when the k-core is empty") {
+    val sparse = GraphGen.erdosRenyi(30, 0.05, 1)
+    assert(repro.graph.GraphOps.kCoreSubgraph(sparse, 3)._1.n == 0) // nothing would be mined
+    for ((gamma, tau) <- Seq((0.4, 8), (1.1, 5), (0.7, 0)))
+      assertThrows[IllegalArgumentException](QuickPlus.mineSerial(sparse, gamma, tau))
+  }
+
   test("Figure 1 example: S2 = {a,b,c,d,e} is a maximal 0.6-quasi-clique; S1 is not maximal") {
     val g = GraphGen.figure1
     assert(QuasiClique.isQuasiClique(g, Array(0, 1, 2, 3), 0.6))    // S1 valid

@@ -112,6 +112,28 @@ class MinerInternalsSpec extends AnyFunSuite {
     assert(fullMax == timedMax)
   }
 
+  for (seed <- 1 to 6; graphSeed <- Seq(seed * 11, seed * 19))
+    test(s"timeDelayed with a budget that never expires emits recursiveMine's candidates in order (graph seed=$graphSeed)") {
+      val g = GraphGen.erdosRenyi(14, 0.55, graphSeed)
+      val gamma = 0.7; val tau = 4
+
+      val full = ArrayBuffer.empty[Array[Int]]
+      val fullFound = newMiner(g, gamma, tau, full)
+        .recursiveMine(ArrayBuffer.empty[Int], ArrayBuffer.from(0 until g.n))
+
+      val timed = ArrayBuffer.empty[Array[Int]]
+      var spawned = 0
+      val timedFound = newMiner(g, gamma, tau, timed).timeDelayed(
+        ArrayBuffer.empty[Int], ArrayBuffer.from(0 until g.n),
+        startNanos = System.nanoTime, tauTimeNanos = Long.MaxValue,
+        (_, _) => { spawned += 1; () })
+
+      assert(spawned == 0)
+      assert(timedFound == fullFound)
+      assert(full.nonEmpty)
+      assert(timed.map(_.toVector) == full.map(_.toVector))
+    }
+
   // ---------------------------------------------------- iterativeBounding
 
   for (seed <- 1 to 8) test(s"iterativeBounding never prunes away a reachable valid quasi-clique (seed=$seed)") {

@@ -16,9 +16,9 @@ class EngineSpec extends SparkSpec {
     canonSet(QuickPlus.mineSerial(g, gamma, tau).maximal)
 
   for {
-    (mode, label) <- Seq[(Mode, String)](
-      (ABase, "A_base"), (ASplit(8), "A_split(8)"), (ASplit(2), "A_split(2)"),
-      (ATime(0.0), "A_time(0ms)"), (ATime(50.0), "A_time(50ms)"))
+    (mode, tauSplit, label) <- Seq[(Mode, Int, String)](
+      (ABase, 8, "A_base"), (ASplit, 8, "A_split(8)"), (ASplit, 2, "A_split(2)"),
+      (ATime(0.0), 8, "A_time(0ms)"), (ATime(50.0), 8, "A_time(50ms)"))
     prioritize <- Seq(true, false)
     par        <- Seq(1, 4)
   } test(s"engine == serial Quick+ [$label, prioritize=$prioritize, p=$par]") {
@@ -26,7 +26,7 @@ class EngineSpec extends SparkSpec {
       val g = GraphGen.erdosRenyi(40, 0.30, seed)
       val truth = serialTruth(g, 0.7, 5)
       val res = Engine.run(spark.sparkContext, g, 0.7, 5, mode,
-        EngineConfig(parallelism = par, prioritizeBigTasks = prioritize, tauSplit = 8))
+        EngineConfig(parallelism = par, prioritizeBigTasks = prioritize, tauSplit = tauSplit))
       assert(canonSet(res.maximal) == truth,
         s"seed=$seed missing=${(truth -- canonSet(res.maximal)).take(3)} extra=${(canonSet(res.maximal) -- truth).take(3)}")
     }
@@ -35,7 +35,7 @@ class EngineSpec extends SparkSpec {
   test("engine matches brute force on a tiny graph") {
     val g = GraphGen.erdosRenyi(12, 0.6, 5)
     val truth = canonSet(BruteForce.allMaximal(g, 0.75, 4))
-    for (mode <- Seq[Mode](ABase, ASplit(3), ATime(0.0))) {
+    for (mode <- Seq[Mode](ABase, ASplit, ATime(0.0))) {
       val res = Engine.run(spark.sparkContext, g, 0.75, 4, mode, EngineConfig(parallelism = 2, tauSplit = 3))
       assert(canonSet(res.maximal) == truth, s"mode=$mode")
     }
@@ -43,7 +43,7 @@ class EngineSpec extends SparkSpec {
 
   test("A_split and A_time actually decompose tasks (subtasks spawned)") {
     val g = GraphGen.erdosRenyi(50, 0.4, 3)
-    val split = Engine.run(spark.sparkContext, g, 0.6, 5, ASplit(5), EngineConfig(2, tauSplit = 5))
+    val split = Engine.run(spark.sparkContext, g, 0.6, 5, ASplit, EngineConfig(2, tauSplit = 5))
     assert(split.subtasksSpawned > 0, "A_split with tiny tau_split must decompose")
     assert(split.rounds > 1)
     val time = Engine.run(spark.sparkContext, g, 0.6, 5, ATime(0.0), EngineConfig(2, tauSplit = 5))
@@ -80,5 +80,13 @@ class EngineSpec extends SparkSpec {
     val g = GraphGen.erdosRenyi(30, 0.05, 1) // sparse: 5-core empty
     val res = Engine.run(spark.sparkContext, g, 0.9, 8, ABase, EngineConfig(2))
     assert(res.maximal.isEmpty)
+  }
+
+  test("Engine.run rejects bad parameters on the driver") {
+    val g = GraphGen.erdosRenyi(30, 0.3, 1)
+    for ((gamma, tau) <- Seq((0.4, 5), (1.1, 5), (0.7, 0)))
+      assertThrows[IllegalArgumentException] {
+        Engine.run(spark.sparkContext, g, gamma, tau, ABase, EngineConfig(2))
+      }
   }
 }
