@@ -56,8 +56,16 @@ final class PhaseTimers extends Serializable {
   * Implements Algorithm 2 (`iterativeBounding`) and one set-enumeration
   * loop with three entry points: Algorithm 3 (`recursiveMine`), Algorithm
   * 8's decomposition step (`decomposeOneLevel`) and Algorithm 10
-  * (`timeDelayed`). The instance is single-threaded: membership/degree
-  * scratch arrays are reused via stamps.
+  * (`timeDelayed`). The instance is single-threaded: all scratch state is
+  * reused across calls.
+  *
+  * The hot paths run on a bitset view of `g` built once per instance: a
+  * row-major adjacency matrix of W = ⌈n/64⌉ words per vertex (n·W·8 bytes),
+  * plus W-word bitsets for S, ext and the vertex set under a γ-QC check.
+  * Degrees are popcounts of row ∧ set (T2), diameter pruning (P1) is a row
+  * test plus a row ∧ row test, and the output and lookahead checks test
+  * the popcount degrees and then connectivity by a bitset BFS. Task graphs
+  * are small (≤ a few hundred vertices), so rows span one to a few words.
   *
   * Every candidate result is emitted through `sink` (vertex ids of `g`,
   * sorted); non-maximal ones are removed by `Maximality.filterMaximal`
@@ -76,47 +84,134 @@ final class Miner(
 
   require(gamma >= 0.5 && gamma <= 1.0, s"miner assumes diameter-2 pruning, needs gamma in [0.5,1], got $gamma")
   import QuasiClique.ceilGamma
+  import java.lang.Long.{bitCount, lowestOneBit, numberOfTrailingZeros}
 
   private val n = g.n
-  // stamped membership + degree scratch (valid while `stamp` is unchanged)
-  private val sMark   = new Array[Int](n)
-  private val eMark   = new Array[Int](n)
-  private val nbrMark = new Array[Int](n)
-  private val dS      = new Array[Int](n)
-  private val dExt    = new Array[Int](n)
-  private var stamp    = 0
-  private var nbrStamp = 0
+  private val W = (n + 63) >>> 6
+  require(n.toLong * W <= Int.MaxValue, s"task graph of $n vertices is too large for the bitset kernel")
 
-  private def inS(v: Int): Boolean   = sMark(v) == stamp
-  private def inExt(v: Int): Boolean = eMark(v) == stamp
+  /** Row v = words [v·W, (v+1)·W); bit u of row v is set iff (u, v) ∈ E. */
+  private val rows = {
+    val m = new Array[Long](n * W)
+    var v = 0
+    while (v < n) {
+      val a = g.adj(v); var j = 0
+      while (j < a.length) { val u = a(j); m(v * W + (u >>> 6)) |= 1L << u; j += 1 }
+      v += 1
+    }
+    m
+  }
+  private val sBits = new Array[Long](W) // S and ext as of the last computeDegrees
+  private val eBits = new Array[Long](W)
+  private val qBits = new Array[Long](W) // vertex set of a γ-QC check
+  private val seen  = new Array[Long](W) // BFS scratch
+  private val front = new Array[Long](W)
+  private val lowS  = new Array[Long](W) // cover rule scratch
+  private val cBits = new Array[Long](W)
+  private val best  = new Array[Long](W)
+  private val dS    = new Array[Int](n)
+  private val dExt  = new Array[Int](n)
+  private val tmp   = new Array[Int](n)      // moved vertices; cover-set partition
+  private val keys  = new Array[Long](n)     // packed (d_S, d_ext, position) sort keys
+  private val count = new Array[Int](n + 1)  // counting sort of d_S over ext
 
-  /** Recompute membership stamps and the four degree kinds (T2). */
-  private def computeDegrees(s: ArrayBuffer[Int], ext: ArrayBuffer[Int]): Unit = {
-    stamp += 1
+  private def has(bits: Array[Long], v: Int): Boolean = (bits(v >>> 6) & (1L << v)) != 0
+  private def adjacent(v: Int, u: Int): Boolean = (rows(v * W + (u >>> 6)) & (1L << u)) != 0
+
+  private def load(bits: Array[Long], vs: ArrayBuffer[Int]): Unit = {
+    java.util.Arrays.fill(bits, 0L)
+    add(bits, vs)
+  }
+  private def add(bits: Array[Long], vs: ArrayBuffer[Int]): Unit = {
     var i = 0
-    while (i < s.length) { sMark(s(i)) = stamp; i += 1 }
-    i = 0
-    while (i < ext.length) { eMark(ext(i)) = stamp; i += 1 }
+    while (i < vs.length) { val v = vs(i); bits(v >>> 6) |= 1L << v; i += 1 }
+  }
+
+  /** The members of `bits` (m of them) in ascending order. */
+  private def members(bits: Array[Long], m: Int): Array[Int] = {
+    val out = new Array[Int](m)
+    var k = 0; var w = 0
+    while (w < W) {
+      var b = bits(w)
+      while (b != 0) { out(k) = (w << 6) | numberOfTrailingZeros(b); k += 1; b &= b - 1 }
+      w += 1
+    }
+    out
+  }
+
+  /** Load S and ext and compute d_S and d_ext of their vertices (T2). */
+  private def computeDegrees(s: ArrayBuffer[Int], ext: ArrayBuffer[Int]): Unit = {
+    load(sBits, s); load(eBits, ext)
     def fill(x: Int): Unit = {
-      val a = g.adj(x); var ds = 0; var de = 0; var j = 0
-      while (j < a.length) {
-        val w = a(j)
-        if (inS(w)) ds += 1 else if (inExt(w)) de += 1
-        j += 1
+      val o = x * W; var ds = 0; var de = 0; var w = 0
+      while (w < W) {
+        val a = rows(o + w); val sw = sBits(w)
+        ds += bitCount(a & sw); de += bitCount(a & eBits(w) & ~sw)
+        w += 1
       }
       dS(x) = ds; dExt(x) = de
     }
-    i = 0
+    var i = 0
     while (i < s.length) { fill(s(i)); i += 1 }
     i = 0
     while (i < ext.length) { fill(ext(i)); i += 1 }
   }
 
+  /** Is G(qBits), with m members, a γ-quasi-clique? The test of
+    * `QuasiClique.isQuasiClique`: every degree ≥ ⌈γ(m−1)⌉, then connectivity.
+    */
+  private def qIsQuasiClique(m: Int): Boolean = {
+    if (m == 0) return false
+    if (m == 1) return true
+    val need = ceilGamma(gamma, m - 1)
+    var w = 0
+    while (w < W) {
+      var b = qBits(w)
+      while (b != 0) {
+        val o = ((w << 6) | numberOfTrailingZeros(b)) * W
+        var d = 0; var k = 0
+        while (k < W) { d += bitCount(rows(o + k) & qBits(k)); k += 1 }
+        if (d < need) return false
+        b &= b - 1
+      }
+      w += 1
+    }
+    qConnected(m)
+  }
+
+  /** BFS over G(qBits) from its lowest vertex: are all m members reached? */
+  private def qConnected(m: Int): Boolean = {
+    java.util.Arrays.fill(seen, 0L); java.util.Arrays.fill(front, 0L)
+    var w = 0
+    while (qBits(w) == 0) w += 1
+    seen(w) = lowestOneBit(qBits(w)); front(w) = seen(w)
+    var reached = 1
+    // `front` is the queue; w is the lowest word that may hold a queued vertex
+    w = 0
+    while (w < W) {
+      if (front(w) == 0) w += 1
+      else {
+        val v = (w << 6) | numberOfTrailingZeros(front(w))
+        front(w) &= front(w) - 1
+        val o = v * W; var k = 0
+        while (k < W) {
+          val nb = rows(o + k) & qBits(k) & ~seen(k)
+          if (nb != 0) {
+            seen(k) |= nb; front(k) |= nb; reached += bitCount(nb)
+            if (k < w) w = k
+          }
+          k += 1
+        }
+      }
+    }
+    reached == m
+  }
+
   /** Emit S if it is a large-enough γ-quasi-clique; returns true if emitted. */
   private def checkOutput(s: ArrayBuffer[Int]): Boolean = {
     if (s.length >= tauSize) {
-      val arr = s.toArray
-      if (QuasiClique.isQuasiClique(g, arr, gamma)) { sink(QuasiClique.canon(arr)); return true }
+      load(qBits, s)
+      if (qIsQuasiClique(s.length)) { sink(members(qBits, s.length)); return true }
     }
     false
   }
@@ -132,13 +227,17 @@ final class Miner(
       if (dS(v) < dMinS) dMinS = dS(v)
       i += 1
     }
-    val dsExt = new Array[Int](ext.length)
+    // d_S(u) of ext, non-increasing: a counting pass, as d_S(u) ∈ [0, |S|]
+    java.util.Arrays.fill(count, 0, s.length + 1, 0)
     i = 0
-    while (i < ext.length) { dsExt(i) = dS(ext(i)); i += 1 }
-    java.util.Arrays.sort(dsExt)
-    // reverse to non-increasing
-    var lo = 0; var hi = dsExt.length - 1
-    while (lo < hi) { val t = dsExt(lo); dsExt(lo) = dsExt(hi); dsExt(hi) = t; lo += 1; hi -= 1 }
+    while (i < ext.length) { count(dS(ext(i))) += 1; i += 1 }
+    val dsExt = new Array[Int](ext.length)
+    var d = s.length; var k = 0
+    while (d >= 0) {
+      var c = count(d)
+      while (c > 0) { dsExt(k) = d; k += 1; c -= 1 }
+      d -= 1
+    }
     val v = Bounds.compute(s.length, sumDS, dMinTotal, dMinS, dsExt, gamma, quickCompat = !config.boundaryPrunes)
     if (timers ne null) timers.boundNs += System.nanoTime - t0
     v
@@ -168,28 +267,32 @@ final class Miner(
           while (!critDone && ext.nonEmpty) {
             val t0 = if (timers ne null) System.nanoTime else 0L
             val need = ceilGamma(gamma, s.length + ls - 1)
-            val moved = ArrayBuffer.empty[Int]
+            // the ext neighbours of each critical vertex, in S's order and
+            // then ascending id, go to `tmp`; leaving eBits dedups them
+            var moved = 0
             var i = 0
-            var limitOne = !config.allCriticalVertices
-            while (i < s.length && !(limitOne && moved.nonEmpty)) {
+            val limitOne = !config.allCriticalVertices
+            while (i < s.length && !(limitOne && moved > 0)) {
               val v = s(i)
               if (dExt(v) > 0 && dS(v) + dExt(v) == need) {
-                val a = g.adj(v); var j = 0
-                while (j < a.length) {
-                  val w = a(j)
-                  if (inExt(w)) { moved += w; eMark(w) = stamp - 1 } // unmark to dedup
-                  j += 1
+                val o = v * W; var w = 0
+                while (w < W) {
+                  var b = rows(o + w) & eBits(w)
+                  eBits(w) &= ~b
+                  while (b != 0) { tmp(moved) = (w << 6) | numberOfTrailingZeros(b); moved += 1; b &= b - 1 }
+                  w += 1
                 }
               }
               i += 1
             }
             if (timers ne null) timers.criticalNs += System.nanoTime - t0
-            if (moved.isEmpty) critDone = true
+            if (moved == 0) critDone = true
             else {
               // the paper examines G(S) before expanding it (missed by Quick)
               if (config.checkBeforeCriticalMove) checkOutput(s)
-              s ++= moved
-              ext.filterInPlace(u => !moved.contains(u))
+              i = 0
+              while (i < moved) { s += tmp(i); i += 1 }
+              ext.filterInPlace(u => has(eBits, u))
               if (ext.nonEmpty) {
                 computeDegrees(s, ext)
                 boundsOf(s, ext) match {
@@ -227,12 +330,9 @@ final class Miner(
             val before = ext.length
             ext.filterInPlace { u =>
               val ds = dS(u); val de = dExt(u)
-              val pruned =
-                ds + de < ceilGamma(gamma, sLen + de) ||          // Thm 3
+              !(ds + de < ceilGamma(gamma, sLen + de) ||          // Thm 3
                 ds + us - 1 < ceilGamma(gamma, sLen + us - 1) ||  // Thm 5
-                ds + de < ceilGamma(gamma, sLen + ls - 1)         // Thm 7
-              if (pruned) eMark(u) = stamp - 1                    // keep marks exact
-              !pruned
+                ds + de < ceilGamma(gamma, sLen + ls - 1))        // Thm 7
             }
             if (ext.length == before) looping = false // fixpoint (case C2)
           }
@@ -243,50 +343,54 @@ final class Miner(
 
   // ------------------------------------------------- cover vertex (P7)
 
-  /** C_S(u) of the best cover vertex u in ext (Eq 9), or null if the rule is
-    * inapplicable for every u. Requires fresh membership/degrees for (s,ext).
+  /** Puts C_S(u) of the best cover vertex u in ext (Eq 9) — the first in
+    * ext's order of largest size — into `best` and returns its size, 0 when
+    * the rule is inapplicable for every u. Requires fresh degrees for (s,ext).
     */
-  private[core] def findCoverSet(s: ArrayBuffer[Int], ext: ArrayBuffer[Int]): Array[Int] = {
+  private def coverBits(s: ArrayBuffer[Int], ext: ArrayBuffer[Int]): Int = {
     val t0 = if (timers ne null) System.nanoTime else 0L
     val cg = ceilGamma(gamma, s.length)
-    var best: Array[Int] = null
-    var bestLen = 0
+    // u qualifies only if every v ∈ S \ N(u) has d_S(v) >= ⌈γ|S|⌉, i.e. if
+    // u is adjacent to every vertex of lowS
+    java.util.Arrays.fill(lowS, 0L)
     var i = 0
+    while (i < s.length) { val v = s(i); if (dS(v) < cg) lowS(v >>> 6) |= 1L << v; i += 1 }
+    var bestLen = 0
+    i = 0
     while (i < ext.length) {
-      val u = ext(i)
-      if (dS(u) >= cg) {
-        // collect v in S not adjacent to u; all must have d_S(v) >= ⌈γ|S|⌉
-        nbrStamp += 1
-        val au = g.adj(u); var j = 0
-        while (j < au.length) { nbrMark(au(j)) = nbrStamp; j += 1 }
-        var ok = true
-        val nonNbrs = ArrayBuffer.empty[Int]
-        j = 0
-        while (ok && j < s.length) {
+      val u = ext(i); val o = u * W
+      var ok = dS(u) >= cg
+      var w = 0
+      while (ok && w < W) { if ((lowS(w) & ~rows(o + w)) != 0) ok = false; w += 1 }
+      if (ok) {
+        // C = N_ext(u) ∩ N(v) for every v ∈ S \ N(u); early-skip once too small
+        var len = 0
+        w = 0
+        while (w < W) { cBits(w) = rows(o + w) & eBits(w); len += bitCount(cBits(w)); w += 1 }
+        var j = 0
+        while (j < s.length && len > bestLen) {
           val v = s(j)
-          if (nbrMark(v) != nbrStamp) { if (dS(v) >= cg) nonNbrs += v else ok = false }
+          if (!adjacent(u, v)) {
+            val ov = v * W
+            len = 0; w = 0
+            while (w < W) { cBits(w) &= rows(ov + w); len += bitCount(cBits(w)); w += 1 }
+          }
           j += 1
         }
-        if (ok) {
-          var c = au.filter(inExt) // N_ext(u); early-skip if already too small
-          if (c.length > bestLen) {
-            var k = 0
-            while (k < nonNbrs.length && c.length > bestLen) {
-              val v = nonNbrs(k)
-              nbrStamp += 1
-              val av = g.adj(v); var l = 0
-              while (l < av.length) { nbrMark(av(l)) = nbrStamp; l += 1 }
-              c = c.filter(w => nbrMark(w) == nbrStamp)
-              k += 1
-            }
-            if (c.length > bestLen) { best = c; bestLen = c.length }
-          }
-        }
+        if (len > bestLen) { System.arraycopy(cBits, 0, best, 0, W); bestLen = len }
       }
       i += 1
     }
     if (timers ne null) timers.coverNs += System.nanoTime - t0
-    best
+    bestLen
+  }
+
+  /** C_S(u) of the best cover vertex u in ext (Eq 9), ascending, or null if
+    * the rule is inapplicable for every u. Requires fresh degrees for (s,ext).
+    */
+  private[core] def findCoverSet(s: ArrayBuffer[Int], ext: ArrayBuffer[Int]): Array[Int] = {
+    val len = coverBits(s, ext)
+    if (len == 0) null else members(best, len)
   }
 
   /** Test hook: cover set with fresh degree state. */
@@ -295,47 +399,65 @@ final class Miner(
     findCoverSet(s, ext)
   }
 
-  /** ext sorted ascending by (d_S, d_ext) — Section 6.2's lookahead-friendly
-    * order — with the cover set moved to the tail. Returns (ordered ext,
-    * number of head vertices to examine).
+  /** ext sorted ascending by (d_S, d_ext), ties in ext's order — Section
+    * 6.2's lookahead-friendly order — with the cover set moved to the tail.
+    * Returns (ordered ext, number of head vertices to examine).
     */
   private def orderExt(s: ArrayBuffer[Int], ext: ArrayBuffer[Int]): (ArrayBuffer[Int], Int) = {
     computeDegrees(s, ext)
-    val sorted = ext.sortBy(u => (dS(u), dExt(u)))
-    val cover  = findCoverSet(s, sorted)
-    if (cover == null || cover.isEmpty) (sorted, sorted.length)
+    // n·W fits an Int, so n < 2^21 and each field fits its 21 bits
+    val len = ext.length
+    var i = 0
+    while (i < len) {
+      val u = ext(i)
+      keys(i) = (dS(u).toLong << 42) | (dExt(u).toLong << 21) | i
+      i += 1
+    }
+    java.util.Arrays.sort(keys, 0, len)
+    val sorted = new ArrayBuffer[Int](len)
+    i = 0
+    while (i < len) { sorted += ext((keys(i) & 0x1fffff).toInt); i += 1 }
+    val nCover = coverBits(s, sorted)
+    if (nCover == 0) (sorted, len)
     else {
-      nbrStamp += 1
-      cover.foreach(nbrMark(_) = nbrStamp)
-      val head = sorted.filter(u => nbrMark(u) != nbrStamp)
-      val out  = head ++ sorted.filter(u => nbrMark(u) == nbrStamp)
-      (out, head.length)
+      // stable partition: the rest in sorted order, then the cover set
+      var head = 0; var tail = 0
+      i = 0
+      while (i < len) {
+        val u = sorted(i)
+        if (has(best, u)) { tmp(tail) = u; tail += 1 } else { sorted(head) = u; head += 1 }
+        i += 1
+      }
+      i = 0
+      while (i < tail) { sorted(head + i) = tmp(i); i += 1 }
+      (sorted, head)
     }
   }
 
   /** Does the lookahead rule fire? G(S ∪ ext) valid => output it. */
   private def lookahead(s: ArrayBuffer[Int], ext: ArrayBuffer[Int]): Boolean = {
-    val t0  = if (timers ne null) System.nanoTime else 0L
-    val all = (s ++ ext).toArray
-    val ok  = QuasiClique.isQuasiClique(g, all, gamma)
-    if (ok) sink(QuasiClique.canon(all))
+    val t0 = if (timers ne null) System.nanoTime else 0L
+    val m  = s.length + ext.length
+    load(qBits, s); add(qBits, ext)
+    val ok = qIsQuasiClique(m)
+    if (ok) sink(members(qBits, m))
     if (timers ne null) timers.lookaheadNs += System.nanoTime - t0
     ok
   }
 
   /** ext filtered to vertices within 2 hops of v (diameter pruning, P1). */
   private[core] def diameterShrink(ext: ArrayBuffer[Int], v: Int): ArrayBuffer[Int] = {
-    nbrStamp += 1
-    val av = g.adj(v); var i = 0
-    while (i < av.length) { nbrMark(av(i)) = nbrStamp; i += 1 }
-    ext.filter { u =>
-      if (nbrMark(u) == nbrStamp) true
-      else {
-        val au = g.adj(u); var j = 0; var hit = false
-        while (!hit && j < au.length) { if (nbrMark(au(j)) == nbrStamp) hit = true; j += 1 }
-        hit
-      }
+    val ov = v * W
+    val out = new ArrayBuffer[Int](ext.length)
+    var i = 0
+    while (i < ext.length) {
+      val u = ext(i); val ou = u * W
+      var w = 0
+      while (w < W && (rows(ou + w) & rows(ov + w)) == 0) w += 1
+      if (w < W || adjacent(v, u)) out += u
+      i += 1
     }
+    out
   }
 
   // ------------------------------------------- Algorithms 3, 8 and 10

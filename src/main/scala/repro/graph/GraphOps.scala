@@ -42,27 +42,34 @@ object GraphOps {
     * where `oldIds(newId) = old id`.
     */
   def induced(g: LocalGraph, vs: Array[Int]): (LocalGraph, Array[Int]) = {
-    val toNew = new java.util.HashMap[Integer, Integer](vs.length * 2)
-    var i = 0
-    while (i < vs.length) { toNew.put(vs(i), i); i += 1 }
+    // old id -> new id, -1 elsewhere; reset before returning
+    var toNew = newIds.get
+    if (toNew.length < g.n) { toNew = Array.fill(g.n)(-1); newIds.set(toNew) }
     val adj = new Array[Array[Int]](vs.length)
-    i = 0
-    while (i < vs.length) {
-      val a   = g.adj(vs(i))
-      val out = Array.newBuilder[Int]
-      var j = 0
-      while (j < a.length) {
-        val nw = toNew.get(a(j))
-        if (nw ne null) out += nw.intValue()
-        j += 1
+    var i = 0
+    try {
+      while (i < vs.length) { toNew(vs(i)) = i; i += 1 }
+      i = 0
+      while (i < vs.length) {
+        val a = g.adj(vs(i))
+        var d = 0; var j = 0
+        while (j < a.length) { if (toNew(a(j)) >= 0) d += 1; j += 1 }
+        val row = new Array[Int](d)
+        d = 0; j = 0
+        while (j < a.length) { val nw = toNew(a(j)); if (nw >= 0) { row(d) = nw; d += 1 }; j += 1 }
+        java.util.Arrays.sort(row)
+        adj(i) = row
+        i += 1
       }
-      val arr = out.result()
-      java.util.Arrays.sort(arr)
-      adj(i) = arr
-      i += 1
+    } finally {
+      i = 0
+      while (i < vs.length) { toNew(vs(i)) = -1; i += 1 }
     }
     (new LocalGraph(adj), vs.clone())
   }
+
+  /** Per-thread id map of `induced`, grown to the largest graph seen. */
+  private val newIds = ThreadLocal.withInitial[Array[Int]](() => Array.emptyIntArray)
 
   /** Core number of every vertex (peeling with bucket queues); the maximum
     * is the graph's degeneracy — the "Core #" feature of Tables 1–2.

@@ -76,6 +76,17 @@ class MinerCorrectnessSpec extends SparkSpec {
       assertThrows[IllegalArgumentException](QuickPlus.mineSerial(sparse, gamma, tau))
   }
 
+  test("Quick+ on Hyves-like keeps its 30 candidates and 24 maximal sets, with ego tasks wider than 64 vertices") {
+    val ds  = GraphGen.hyvesLike(106)
+    val out = QuickPlus.mineSerial(ds.graph, ds.gamma, ds.tauSize)
+    assert(out.numResults == 30)
+    assert(out.numMaximal == 24)
+    // the miner's bitset rows span more than one 64-bit word on some task
+    val job = TaskSpawn.prologue(ds.graph, ds.gamma, ds.tauSize)
+    val widest = (0 until job.spawnUpper).flatMap(v => TaskSpawn.egoTask(job.graph, v, job.k)).map(_._1.n).max
+    assert(widest > 64)
+  }
+
   test("Figure 1 example: S2 = {a,b,c,d,e} is a maximal 0.6-quasi-clique; S1 is not maximal") {
     val g = GraphGen.figure1
     assert(QuasiClique.isQuasiClique(g, Array(0, 1, 2, 3), 0.6))    // S1 valid

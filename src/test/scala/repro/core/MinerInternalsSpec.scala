@@ -49,10 +49,9 @@ class MinerInternalsSpec extends AnyFunSuite {
 
   // --------------------------------------------------- diameter shrink P1
 
-  for (seed <- 1 to 6) test(s"diameterShrink keeps exactly the 2-hop reachable ext vertices (seed=$seed)") {
-    val g = GraphGen.erdosRenyi(20, 0.15, seed * 7)
+  private def checkDiameterShrink(g: LocalGraph, pool: Seq[Int], seed: Int): Unit = {
     val rnd = new Random(seed)
-    val perm = rnd.shuffle((0 until g.n).toList)
+    val perm = rnd.shuffle(pool.toList)
     val v = perm.head
     val ext = perm.tail.take(10)
     val miner = newMiner(g, 0.9, 2)
@@ -62,6 +61,51 @@ class MinerInternalsSpec extends AnyFunSuite {
     }.toSet
     assert(got == expect)
   }
+
+  for (seed <- 1 to 6) test(s"diameterShrink keeps exactly the 2-hop reachable ext vertices (seed=$seed)") {
+    val g = GraphGen.erdosRenyi(20, 0.15, seed * 7)
+    checkDiameterShrink(g, 0 until g.n, seed)
+  }
+
+  test("diameterShrink keeps exactly the 2-hop reachable ext vertices (ER(13) on 200 ids across word edges)") {
+    val (big, place) = spreadOverWords(GraphGen.erdosRenyi(13, 0.25, 7), 200, 7)
+    checkDiameterShrink(big, place.toSeq ++ Seq(0, 62, 65, 129, 190), 7)
+  }
+
+  // ------------------------------------------- bitset rows of 1 to 4 words
+
+  /** `g` relabelled into the id space `0 until size`: its vertices take the
+    * ids on both sides of each 64-bit word edge (63|64, 127|128, …) and the
+    * last id first, then random others; the remaining ids are isolated
+    * padding. Returns (embedded graph, place) with place(v) = v's new id.
+    */
+  private def spreadOverWords(g: LocalGraph, size: Int, seed: Int): (LocalGraph, Array[Int]) = {
+    val rnd = new Random(seed)
+    val edges = ((64 until size by 64).flatMap(b => Seq(b - 1, b)) :+ (size - 1)).distinct
+    val ids = edges ++ rnd.shuffle((0 until size).filterNot(edges.contains).toList)
+    val place = rnd.shuffle(ids.take(g.n).toList).toArray
+    val pairs = for (u <- 0 until g.n; w <- g.adj(u) if u < w) yield (place(u), place(w))
+    (LocalGraph.fromPairs(size, pairs), place)
+  }
+
+  for (size <- Seq(64, 65, 130, 200); seed <- 1 to 3)
+    test(s"recursiveMine matches brute force with vertices across word edges (ids=$size seed=$seed)") {
+      val g = GraphGen.erdosRenyi(10 + seed, 0.45 + 0.1 * seed, seed * 1000 + size)
+      val (big, place) = spreadOverWords(g, size, seed)
+      val back = Array.fill(size)(-1)
+      place.indices.foreach(v => back(place(v)) = v)
+      val tau = 2 + seed % 2
+      for (gamma <- Seq(0.5, 0.75, 0.9, 1.0)) {
+        val out = ArrayBuffer.empty[Array[Int]]
+        newMiner(big, gamma, tau, out).recursiveMine(ArrayBuffer.empty[Int], ArrayBuffer.from(0 until size))
+        out.foreach(c => assert(QuasiClique.isQuasiClique(big, c, gamma), s"gamma=$gamma: ${c.toSeq} is no QC"))
+        val got = Maximality.filterMaximal(out.toSeq.map(c => QuasiClique.canon(c.map(back))))
+          .map(_.toVector).toSet
+        val expected = BruteForce.allMaximal(g, gamma, tau).map(_.toVector).toSet
+        assert(expected.nonEmpty)
+        assert(got == expected, s"gamma=$gamma: missing=${expected -- got} extra=${got -- expected}")
+      }
+    }
 
   // --------------------------------- decomposition preserves completeness
 
