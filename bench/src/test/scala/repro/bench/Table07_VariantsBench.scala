@@ -47,7 +47,8 @@ class Table07_VariantsBench extends BenchSpec {
       val base = Engine.run(sc, d.graph, d.gamma, d.tauSize, ABase, EngineConfig(16, tauSplit = ts))
       val time = Engine.run(sc, d.graph, d.gamma, d.tauSize, ATime(tt), EngineConfig(16, tauSplit = ts))
       row(f"$prefix-like: A_base=${sec(base.wallMillis)}s  A_time=${sec(time.wallMillis)}s  " +
-        f"(speedup ${base.wallMillis / time.wallMillis}%.1fx; A_base max task ${sec(base.maxTaskMillis)}s)")
+        f"(speedup ${base.wallMillis / time.wallMillis}%.1fx; A_base max task ${sec(base.maxTaskMillis)}s; " +
+        f"A_time rounds=${time.rounds} subtasks=${time.subtasksSpawned})")
       assert(time.wallMillis < base.wallMillis,
         s"$prefix: A_time (${time.wallMillis}) must beat A_base (${base.wallMillis})")
     }

@@ -23,7 +23,7 @@ class Table12_14_MaterializationBench extends BenchSpec {
           EngineConfig(16, tauSplit = 50))
         val ratio = if (r.materializeMillis > 0) r.miningMillis / r.materializeMillis else Double.PositiveInfinity
         val ratioS = if (ratio.isInfinity) "inf" else f"$ratio%.1f"
-        row(f"tau_time=${tt / 1000}%7.3fs  job=${sec(r.wallMillis)}%8s  mine=${sec(r.miningMillis)}%9s  mat=${sec(r.materializeMillis)}%8s  ratio=$ratioS%10s  subtasks=${r.subtasksSpawned}%7d")
+        row(f"tau_time=${tt / 1000}%7.3fs  job=${sec(r.wallMillis)}%8s  mine=${sec(r.miningMillis)}%9s  mat=${sec(r.materializeMillis)}%8s  ratio=$ratioS%10s  subtasks=${r.subtasksSpawned}%7d  rounds=${r.rounds}%3d")
         (ratio, r.subtasksSpawned)
       }
       // smaller tau_time => more decomposition => more materialization share

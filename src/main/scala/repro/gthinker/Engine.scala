@@ -6,7 +6,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.util.{AccumulatorV2, LongAccumulator}
 import repro.core._
 import repro.graph.{GraphOps, LocalGraph}
-import scala.collection.mutable.ArrayBuffer
+import scala.collection.mutable.{ArrayBuffer, ArrayDeque}
 import scala.reflect.ClassTag
 
 /** A mining task ⟨S, ext(S)⟩ in ids of the engine's (k-core-pruned, recoded)
@@ -32,12 +32,13 @@ case object ASplit extends Mode
 final case class ATime(tauTimeMillis: Double) extends Mode
 
 /** Engine knobs. `prioritizeBigTasks=false` emulates the ORIGINAL G-thinker
-  * engine (per-thread local queues only: subtasks stay hashed to their
-  * spawning worker, no big-task-first ordering); `true` is the paper's
-  * redesign (global big-task queue + stealing ≈ sort big tasks first and
-  * round-robin them across workers each round). `tauSplit` is the paper's
-  * single τ_split: a task with |ext| >= τ_split is big, and `ASplit`
-  * decomposes a task with |ext| > τ_split.
+  * engine (per-thread local queues only: every subtask is mined by the
+  * worker that spawned it, no big-task-first ordering); `true` is the
+  * paper's redesign (small subtasks stay in the local queue, big ones go to
+  * a global queue with stealing ≈ sort big tasks first and round-robin them
+  * across workers each round). `tauSplit` is the paper's single τ_split: a
+  * task with |ext| >= τ_split is big, and `ASplit` decomposes a task with
+  * |ext| > τ_split.
   */
 final case class EngineConfig(
     parallelism: Int,
@@ -79,11 +80,13 @@ private final case class EmitStat(s: TaskStat) extends Emit
 
 /** The redesigned G-thinker execution engine on Spark.
   *
-  * One Spark round = every worker drains its task list once. Between rounds
-  * the driver re-places tasks: with big-task prioritization, tasks with
-  * |ext| >= τ_split are sorted descending and dealt round-robin over the
-  * `parallelism` workers (global queue + stealing), the rest follow; the
-  * old engine hashes tasks to their spawning worker in arrival order.
+  * One Spark round = every worker drains the tasks placed on it, then its
+  * local queue: the subtasks it spawns itself, mined in the same Spark task.
+  * With big-task prioritization only big subtasks (|ext| >= τ_split) leave
+  * the worker; the driver collects them and, for the next round, sorts them
+  * descending and deals them round-robin over the `parallelism` workers
+  * (global queue + stealing). The old engine keeps every subtask local, so
+  * its mining ends in one round.
   */
 object Engine {
 
@@ -151,7 +154,9 @@ object Engine {
       val emitted = placed.mapPartitions { it =>
         val graph = bc.value
         val out = ArrayBuffer.empty[Emit]
-        it.foreach { t =>
+        // LIFO: depth-first keeps the queue near the spawn tree's depth times its fan-out
+        val local = ArrayDeque.empty[QCTask]
+        def execTask(t: QCTask): Unit = {
           val m0 = System.nanoTime
           val (sub, oldIds) = GraphOps.induced(graph, t.s ++ t.ext)
           matAcc.add(System.nanoTime - m0)
@@ -162,7 +167,10 @@ object Engine {
           }
           val spawnChild = (s: Array[Int], e: Array[Int]) => {
             spawnAcc.add(1)
-            out += EmitTask(QCTask(t.root, s.map(oldIds), e.map(oldIds))); ()
+            val child = QCTask(t.root, s.map(oldIds), e.map(oldIds))
+            if (conf.prioritizeBigTasks && child.extSize >= conf.tauSplit) out += EmitTask(child)
+            else local += child
+            ()
           }
           val miner = new Miner(sub, gamma, tauSize, sink)
           val sBuf = ArrayBuffer.from(0 until t.s.length)
@@ -179,6 +187,8 @@ object Engine {
           mineAcc.add(dt); maxAcc.add(dt); procAcc.add(1)
           if (f ne null) out += EmitStat(TaskStat(t.root, f.nV, f.nE, f.maxDeg, f.avgDeg, f.coreNum, dt))
         }
+        it.foreach(execTask)
+        while (local.nonEmpty) execTask(local.removeLast())
         out.iterator
       }.collect()
 
@@ -206,11 +216,11 @@ object Engine {
       stats.toSeq, peakHeap)
   }
 
-  /** Deals `items` over `p` workers; bucket i becomes partition i. The
-    * redesigned engine deals items with `size >= bigAt` first, largest
-    * first (stable), then the rest in arrival order, round-robin (global
-    * queue + stealing). The original engine keeps each item with the worker
-    * that owns it, `owner % p`, in arrival order (local queues only).
+  /** Deals `items` over `p` workers; bucket i becomes partition i, with no
+    * shuffle. The redesigned engine deals items with `size >= bigAt` first,
+    * largest first (stable), then the rest in arrival order, round-robin
+    * (global queue + stealing). The original engine keeps each item with the
+    * worker that owns it, `owner % p`, in arrival order (local queues only).
     */
   private[repro] def place[T: ClassTag](sc: SparkContext, items: Array[T], p: Int,
                                         prioritizeBig: Boolean, bigAt: Int)
@@ -222,9 +232,8 @@ object Engine {
       var i = 0
       while (i < ordered.length) { buckets(i % p) += ordered(i); i += 1 }
     } else items.foreach(x => buckets(owner(x) % p) += x)
-    // key i lands exactly in partition i under hash partitioning for 0<=i<p
-    val keyed = buckets.zipWithIndex.flatMap { case (b, i) => b.map(x => (i, x)) }.toSeq
-    sc.parallelize(keyed, p).partitionBy(new org.apache.spark.HashPartitioner(p)).values
+    // p buckets in p slices: slice i holds exactly bucket i, so no shuffle is needed
+    sc.parallelize(buckets.toSeq.map(_.toArray), p).flatMap(b => b)
   }
 
   private def usedHeapMB(): Long = {
